@@ -120,7 +120,9 @@ pub fn decode(item: &Item) -> Option<ChangeOp> {
 /// pipeline can find it.
 ///
 /// `cb` receives the new version's ETag. Fails up front (before any hint is
-/// registered) when the source object cannot be statted.
+/// registered) when the source object cannot be statted. If the source is
+/// overwritten between the stat and the copy, the copy's `If-Match` refuses
+/// it: the hint is removed again and `cb` is not called.
 pub fn user_copy<B: Backend>(
     sim: &mut B,
     region: RegionId,
@@ -150,7 +152,7 @@ pub fn user_copy<B: Backend>(
         exec,
         region,
         CHANGELOG_TABLE.into(),
-        hint_key,
+        hint_key.clone(),
         move |slot| {
             *slot = Some(encode(&op));
         },
@@ -162,10 +164,19 @@ pub fn user_copy<B: Backend>(
                 src_key,
                 dst_key,
                 Some(stat.etag),
-                move |sim, applied| {
-                    // xlint::allow(no-unwrap-in-lib, source existence and ETag were validated by the stat above; nothing mutates the bucket in between)
-                    let applied = applied.expect("local copy");
-                    cb(sim, applied.etag);
+                move |sim, applied| match applied {
+                    Ok(applied) => cb(sim, applied.etag),
+                    // Refused, e.g. by `If-Match` once the source changed
+                    // since the stat: no copy was made, so no hint may
+                    // describe one.
+                    Err(_) => sim.db_transact(
+                        exec,
+                        region,
+                        CHANGELOG_TABLE.into(),
+                        hint_key,
+                        |slot| *slot = None,
+                        |_, ()| {},
+                    ),
                 },
             );
         },

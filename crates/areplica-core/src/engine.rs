@@ -78,9 +78,20 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// Unique task identity (object key + version sequence).
+    /// Unique task identity: both buckets (with their regions), the object
+    /// key and the version sequence. Sequence numbers are per bucket, so
+    /// the key and sequence alone collide across buckets whose tasks share
+    /// an execution region.
     pub fn task_id(&self) -> String {
-        format!("{}#{}", self.key, self.seq)
+        format!(
+            "{}:{}/{}#{}>{}:{}",
+            self.src_region.index(),
+            self.src_bucket,
+            self.key,
+            self.seq,
+            self.dst_region.index(),
+            self.dst_bucket
+        )
     }
 }
 

@@ -14,6 +14,28 @@
 //! large `n`, exactly as the paper prescribes. The cache is populated
 //! on demand (bootstrap) and invalidated by the online logger on persistent
 //! prediction drift.
+//!
+//! # Memos
+//!
+//! Every prediction is a pure function of its inputs and the fitted
+//! parameters (all RNG seeds are derived), so the scalar queries the planner
+//! and the logger make are memoized per path:
+//!
+//! * [`PerfModel::t_rep_quantile`] on `(PathKey, n, chunks, local,
+//!   p.to_bits())` and [`PerfModel::t_rep_mean`] on `(PathKey, n, chunks,
+//!   local)`, where `chunks` is the object's chunk count for `n = 1` and the
+//!   chunks per function for `n >= 2` — everything the answer reads;
+//! * the fastest plan of [`crate::planner::generate_plan`] (no SLO, no
+//!   quota) on `(src, dst, chunks, max n, local-threshold test, p)`.
+//!
+//! Invalidation: [`PerfModel::set_path`] and
+//! [`PerfModel::rescale_path_chunks`] drop that path's entries (and the
+//! fastest plans of its `(src, dst)` pair); [`PerfModel::set_loc`] drops the
+//! entries whose execution side is in that region (and the fastest plans of
+//! pairs with an end there). A miss answers without building or sorting a
+//! [`Dist`]: standardized maxima are cached sorted, the function-time noise
+//! is a fixed stream drawn once, and quantiles of the shifted samples are
+//! read by selection.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -21,8 +43,9 @@ use std::rc::Rc;
 use cloudapi::RegionId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simkernel::SimDuration;
-use stats::{sum_as_normal, Dist, EULER_GAMMA, GUMBEL_THRESHOLD_N};
+use stats::{sum_as_normal, Dist, EmpiricalDist, EULER_GAMMA, GUMBEL_THRESHOLD_N};
+
+use crate::planner::{FastestKey, Plan};
 
 /// Where the replicator functions run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,19 +151,40 @@ struct MaxCacheKey {
     chunks_per_fn: u64,
 }
 
+/// A scalar `T_rep` query on one path: `(n, chunks, local)`, with `chunks`
+/// as [`PerfModel::query_chunks`] counts them.
+type QueryKey = (u32, u64, bool);
+
+/// Memoized scalar answers for one path.
+#[derive(Debug, Clone, Default)]
+struct PathMemo {
+    /// [`PerfModel::t_rep_quantile`] answers, by query and `p.to_bits()`.
+    quantile: BTreeMap<(QueryKey, u64), f64>,
+    /// [`PerfModel::t_rep_mean`] answers.
+    mean: BTreeMap<QueryKey, f64>,
+}
+
 /// The fitted performance model.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
     loc: BTreeMap<RegionId, LocParams>,
     path: BTreeMap<PathKey, PathParams>,
     notif: BTreeMap<RegionId, Dist>,
-    max_cache: BTreeMap<MaxCacheKey, Dist>,
-    /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`. The
-    /// derived MC seed depends only on that pair — never on path parameters —
-    /// so these survive `set_path` / `rescale_path_chunks` invalidation and
-    /// make drift-triggered re-fits an affine remap instead of a fresh
-    /// Monte Carlo (the fig23 replay hot path).
+    max_cache: BTreeMap<MaxCacheKey, Rc<Dist>>,
+    /// Standardized per-trial maxima keyed by `(n, chunks_per_fn)`, sorted.
+    /// The derived MC seed depends only on that pair — never on path
+    /// parameters — so these survive `set_path` / `rescale_path_chunks`
+    /// invalidation and make drift-triggered re-fits an affine remap instead
+    /// of a fresh Monte Carlo.
     std_max_cache: BTreeMap<(u32, u64), Rc<Vec<f64>>>,
+    /// The standard normals of the function-time noise added to an
+    /// empirical max-of-n, by sample count (see `PerfModel::shift_normals`).
+    shift_normals: BTreeMap<usize, Rc<Vec<f64>>>,
+    memo: BTreeMap<PathKey, PathMemo>,
+    /// Memoized fastest plans per `(src, dst)` (see [`crate::planner`]).
+    fastest: BTreeMap<(RegionId, RegionId), BTreeMap<FastestKey, Plan>>,
+    /// Reused buffer for the shifted samples of a memo miss.
+    scratch: Vec<f64>,
     /// Chunk size `c` in bytes the parameters were profiled at.
     pub chunk_size: u64,
     /// Monte-Carlo trial budget per cached distribution.
@@ -179,16 +223,28 @@ impl PerfModel {
         }
     }
 
-    /// Installs (or replaces) a region's `I/D/P` parameters.
+    /// Installs (or replaces) a region's `I/D/P` parameters, dropping the
+    /// memoized answers of every path that executes there.
     pub fn set_loc(&mut self, region: RegionId, params: LocParams) {
+        self.memo
+            .retain(|k, _| k.side.region(k.src, k.dst) != region);
+        self.fastest
+            .retain(|&(src, dst), _| src != region && dst != region);
         self.loc.insert(region, params);
     }
 
     /// Installs (or replaces) a path's `S/C/C′` parameters, invalidating any
-    /// cached max-of-n distributions for it.
+    /// cached max-of-n distributions and memoized answers for it.
     pub fn set_path(&mut self, key: PathKey, params: PathParams) {
-        self.max_cache.retain(|k, _| k.path != key);
+        self.invalidate_path(key);
         self.path.insert(key, params);
+    }
+
+    /// Drops everything derived from one path's parameters.
+    fn invalidate_path(&mut self, key: PathKey) {
+        self.max_cache.retain(|k, _| k.path != key);
+        self.memo.remove(&key);
+        self.fastest.remove(&(key.src, key.dst));
     }
 
     /// Installs the notification-delay distribution for a source region.
@@ -257,17 +313,16 @@ impl PerfModel {
         path: PathKey,
         size: u64,
         n: u32,
-    ) -> Result<Dist, ModelError> {
+    ) -> Result<Rc<Dist>, ModelError> {
         assert!(n >= 2, "use t_transfer_single for n = 1");
-        let chunks_total = size.div_ceil(self.chunk_size).max(1);
-        let chunks_per_fn = chunks_total.div_ceil(n as u64).max(1);
+        let chunks_per_fn = self.query_chunks(size, n);
         let key = MaxCacheKey {
             path,
             n,
             chunks_per_fn,
         };
         if let Some(cached) = self.max_cache.get(&key) {
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         let p = self.path.get(&path).ok_or(ModelError::UnknownPath(path))?;
         let per_instance = inflate_instance_cv(
@@ -294,8 +349,59 @@ impl PerfModel {
                 }
             }
         };
-        self.max_cache.insert(key, dist.clone());
+        let dist = Rc::new(dist);
+        self.max_cache.insert(key, Rc::clone(&dist));
         Ok(dist)
+    }
+
+    /// The chunk count a `T_rep` query for `n` functions reads: the object's
+    /// total for `n <= 1`, the per-function share for `n >= 2`.
+    fn query_chunks(&self, size: u64, n: u32) -> u64 {
+        let chunks_total = size.div_ceil(self.chunk_size).max(1);
+        if n <= 1 {
+            chunks_total
+        } else {
+            chunks_total.div_ceil(n as u64).max(1)
+        }
+    }
+
+    /// Evaluates `T_rep` for a plan through one of two readers: `closed`
+    /// gets the distribution when it has a closed form, `shifted` gets the
+    /// unsorted samples of an empirical max-of-n plus the function time.
+    fn t_rep_with<R>(
+        &mut self,
+        path: PathKey,
+        size: u64,
+        n: u32,
+        local: bool,
+        closed: impl FnOnce(Dist) -> R,
+        shifted: impl FnOnce(&mut Vec<f64>) -> R,
+    ) -> Result<R, ModelError> {
+        let loc = path.side.region(path.src, path.dst);
+        let t_func = self.t_func(loc, n, local)?;
+        if n <= 1 {
+            let t_transfer = self.t_transfer_single(path, size)?;
+            return Ok(closed(sum_as_normal(&[t_func, t_transfer])));
+        }
+        let (mu, sigma) = (t_func.mean(), t_func.std_dev());
+        let t_transfer = self.t_transfer_parallel(path, size, n)?;
+        let Dist::Empirical(e) = &*t_transfer else {
+            return Ok(closed(add_normal(&t_transfer, mu, sigma)));
+        };
+        // Shift every max sample by an independent Normal(mu, sigma) draw,
+        // `x + (mu + sigma * z)` exactly as `Dist::sample` composes it.
+        let z = self.shift_normals(e.len());
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend(
+            e.samples()
+                .iter()
+                .zip(z.iter())
+                .map(|(x, z)| x + (mu + sigma * z)),
+        );
+        let out = shifted(&mut buf);
+        self.scratch = buf;
+        Ok(out)
     }
 
     /// Full `T_rep` distribution for a plan.
@@ -306,19 +412,22 @@ impl PerfModel {
         n: u32,
         local: bool,
     ) -> Result<Dist, ModelError> {
-        let loc = path.side.region(path.src, path.dst);
-        let t_func = self.t_func(loc, n, local)?;
-        if n <= 1 {
-            let t_transfer = self.t_transfer_single(path, size)?;
-            Ok(sum_as_normal(&[t_func, t_transfer]))
-        } else {
-            let t_transfer = self.t_transfer_parallel(path, size, n)?;
-            Ok(add_normal(&t_transfer, t_func.mean(), t_func.std_dev()))
-        }
+        self.t_rep_with(
+            path,
+            size,
+            n,
+            local,
+            |d| d,
+            |samples| {
+                let samples = std::mem::take(samples);
+                // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
+                Dist::Empirical(EmpiricalDist::new(samples).expect("finite samples"))
+            },
+        )
     }
 
     /// The planner's scalar query: `t` such that `P(T_rep <= t) >= p`,
-    /// in seconds.
+    /// in seconds. Equals `t_rep_dist(..).quantile(p).max(0.0)`, memoized.
     pub fn t_rep_quantile(
         &mut self,
         path: PathKey,
@@ -327,21 +436,76 @@ impl PerfModel {
         local: bool,
         p: f64,
     ) -> Result<f64, ModelError> {
-        Ok(self.t_rep_dist(path, size, n, local)?.quantile(p).max(0.0))
+        let key = ((n, self.query_chunks(size, n), local), p.to_bits());
+        if let Some(&q) = self.memo.get(&path).and_then(|m| m.quantile.get(&key)) {
+            return Ok(q);
+        }
+        let q = self
+            .t_rep_with(
+                path,
+                size,
+                n,
+                local,
+                |d| d.quantile(p),
+                |samples| stats::quantile_unsorted(samples, p),
+            )?
+            .max(0.0);
+        self.memo.entry(path).or_default().quantile.insert(key, q);
+        Ok(q)
     }
 
-    /// Convenience: the quantile as a [`SimDuration`].
-    pub fn t_rep_quantile_duration(
+    /// The mean of `T_rep` for a plan, in seconds (what the online logger
+    /// compares observations against). Equals `t_rep_dist(..).mean()`,
+    /// memoized.
+    pub fn t_rep_mean(
         &mut self,
         path: PathKey,
         size: u64,
         n: u32,
         local: bool,
-        p: f64,
-    ) -> Result<SimDuration, ModelError> {
-        Ok(SimDuration::from_secs_f64(
-            self.t_rep_quantile(path, size, n, local, p)?,
-        ))
+    ) -> Result<f64, ModelError> {
+        let key = (n, self.query_chunks(size, n), local);
+        if let Some(&m) = self.memo.get(&path).and_then(|m| m.mean.get(&key)) {
+            return Ok(m);
+        }
+        let m = self.t_rep_with(
+            path,
+            size,
+            n,
+            local,
+            |d| d.mean(),
+            |samples| {
+                // `EmpiricalDist::mean` sums in ascending order.
+                samples.sort_unstable_by(f64::total_cmp);
+                samples.iter().sum::<f64>() / samples.len() as f64
+            },
+        )?;
+        self.memo.entry(path).or_default().mean.insert(key, m);
+        Ok(m)
+    }
+
+    /// The memoized fastest plan for `(src, dst)` under `key`, if any.
+    pub(crate) fn fastest_plan(
+        &self,
+        src: RegionId,
+        dst: RegionId,
+        key: FastestKey,
+    ) -> Option<Plan> {
+        self.fastest.get(&(src, dst))?.get(&key).copied()
+    }
+
+    /// Memoizes the fastest plan for `(src, dst)` under `key`.
+    pub(crate) fn remember_fastest_plan(
+        &mut self,
+        src: RegionId,
+        dst: RegionId,
+        key: FastestKey,
+        plan: Plan,
+    ) {
+        self.fastest
+            .entry((src, dst))
+            .or_default()
+            .insert(key, plan);
     }
 
     /// Scales a path's chunk parameters by `factor` (online logger drift
@@ -352,7 +516,7 @@ impl PerfModel {
             p.chunk = p.chunk.scale(factor);
             p.chunk_distributed = p.chunk_distributed.scale(factor);
         }
-        self.max_cache.retain(|k, _| k.path != key);
+        self.invalidate_path(key);
     }
 
     /// Number of cached max-of-n distributions (test/inspection hook).
@@ -381,11 +545,27 @@ impl PerfModel {
         self.std_max_cache.insert((n, chunks_per_fn), v.clone());
         v
     }
+
+    /// The standard normals that shift the samples of a `len`-sample
+    /// empirical max-of-n: a fixed stream (seed `0x5eed ^ len`), so it is
+    /// drawn once per length.
+    fn shift_normals(&mut self, len: usize) -> Rc<Vec<f64>> {
+        let z = self.shift_normals.entry(len).or_insert_with(|| {
+            let mut rng = StdRng::seed_from_u64(0x5eed ^ len as u64);
+            Rc::new(
+                (0..len)
+                    .map(|_| stats::sample_std_normal(&mut rng))
+                    .collect(),
+            )
+        });
+        Rc::clone(z)
+    }
 }
 
-/// Adds an independent Normal(`mu`, `sigma`) to a distribution:
+/// Adds an independent Normal(`mu`, `sigma`) to a closed-form distribution:
 /// exact for Normal, moment-matched Gumbel for Gumbel (preserving the tail
-/// shape of the max), sample-shifted for Empirical.
+/// shape of the max). Empirical maxima are shifted sample by sample in
+/// [`PerfModel::t_rep_with`] instead.
 fn add_normal(base: &Dist, mu: f64, sigma: f64) -> Dist {
     match base {
         Dist::Normal { mu: m, sigma: s } => Dist::Normal {
@@ -402,18 +582,6 @@ fn add_normal(base: &Dist, mu: f64, sigma: f64) -> Dist {
                 mu: mean_total - EULER_GAMMA * beta2,
                 beta: beta2,
             }
-        }
-        Dist::Empirical(e) => {
-            // Shift every stored max sample by an independent normal draw;
-            // deterministic seed keeps this reproducible.
-            let mut rng = StdRng::seed_from_u64(0x5eed ^ e.len() as u64);
-            let shifted: Vec<f64> = e
-                .samples()
-                .iter()
-                .map(|x| x + Dist::normal(mu, sigma).sample(&mut rng))
-                .collect();
-            // xlint::allow(no-unwrap-in-lib, samples come from an existing EmpiricalDist plus a finite normal shift, so they stay finite and non-empty)
-            Dist::Empirical(stats::EmpiricalDist::new(shifted).expect("finite samples"))
         }
         other => other.shift(mu),
     }
@@ -544,7 +712,7 @@ mod tests {
         let r = regions();
         let (mut m, path) = test_model(&r);
         let d = m.t_transfer_parallel(path, 100 << 30, 256).unwrap();
-        assert!(matches!(d, Dist::Gumbel { .. }));
+        assert!(matches!(*d, Dist::Gumbel { .. }));
         // And it must still be a sane, finite prediction.
         let q = d.quantile(0.99);
         assert!(q.is_finite() && q > 0.0);
@@ -608,6 +776,142 @@ mod tests {
             after > before * 1.4,
             "rescale had no effect: {before} -> {after}"
         );
+    }
+
+    fn with_destination_side(m: &mut PerfModel, src_path: PathKey) -> PathKey {
+        let dst_path = PathKey {
+            side: ExecSide::Destination,
+            ..src_path
+        };
+        let mut params = PathParams::new(
+            Dist::normal(0.30, 0.06),
+            Dist::normal(0.25, 0.05),
+            Dist::normal(0.27, 0.06),
+        );
+        // A LogNormal per-instance time on this side, Normal on the other.
+        params.instance_cv = 0.3;
+        m.set_path(dst_path, params);
+        dst_path
+    }
+
+    #[test]
+    fn memoized_answers_match_a_cold_model_bitwise() {
+        // Interleave drift rescales on both sides (and the odd location
+        // refit) with queries; every memoized answer must equal, bit for
+        // bit, what a never-queried model computes through `t_rep_dist`.
+        use crate::config::EngineConfig;
+        use crate::planner::generate_plan;
+        use rand::Rng;
+        use simkernel::SimDuration;
+
+        let r = regions();
+        let (mut warm, src_path) = test_model(&r);
+        warm.mc_trials = 200;
+        let dst_path = with_destination_side(&mut warm, src_path);
+        // Receives the same mutations as `warm` but is never queried: each
+        // check queries a fresh clone of it.
+        let mut params = warm.clone();
+        let cfg = EngineConfig::default();
+        let c = warm.chunk_size;
+        let sizes = [1, c / 2, c, 3 * c + 1, 40 * c, 200 * c, 700 * c];
+        let ns = [1, 2, 3, 16, 127, 128, 256, 512];
+        let ps = [0.5, 0.9, 0.99, 0.9999];
+        let mut rng = StdRng::seed_from_u64(14);
+        for step in 0..400 {
+            if rng.gen_range(0..8) == 0 {
+                let path = if rng.gen_bool(0.5) {
+                    src_path
+                } else {
+                    dst_path
+                };
+                let factor = rng.gen_range(0.5..2.0);
+                warm.rescale_path_chunks(path, factor);
+                params.rescale_path_chunks(path, factor);
+            }
+            if step % 97 == 96 {
+                let loc = LocParams {
+                    invoke: Dist::normal(0.04, 0.01),
+                    cold: Dist::normal(rng.gen_range(0.2..1.5), 0.3),
+                    postpone: Dist::Uniform { lo: 0.0, hi: 2.0 },
+                };
+                let region = if rng.gen_bool(0.5) {
+                    src_path.src
+                } else {
+                    src_path.dst
+                };
+                warm.set_loc(region, loc.clone());
+                params.set_loc(region, loc);
+            }
+            let path = if rng.gen_bool(0.5) {
+                src_path
+            } else {
+                dst_path
+            };
+            let size = sizes[rng.gen_range(0..sizes.len())];
+            let n = ns[rng.gen_range(0..ns.len())];
+            let local = rng.gen_bool(0.3);
+            let p = ps[rng.gen_range(0..ps.len())];
+            let what = format!(
+                "step {step}: {:?} size {size} n {n} local {local} p {p}",
+                path.side
+            );
+
+            let cold = params.clone().t_rep_dist(path, size, n, local).unwrap();
+            let q = warm.t_rep_quantile(path, size, n, local, p).unwrap();
+            assert_eq!(
+                q.to_bits(),
+                cold.quantile(p).max(0.0).to_bits(),
+                "quantile, {what}"
+            );
+            let mean = warm.t_rep_mean(path, size, n, local).unwrap();
+            assert_eq!(mean.to_bits(), cold.mean().to_bits(), "mean, {what}");
+
+            let slo = rng
+                .gen_bool(0.5)
+                .then(|| SimDuration::from_secs_f64(rng.gen_range(0.5..30.0)));
+            let plan = generate_plan(&mut warm, &cfg, path.src, path.dst, size, slo, p).unwrap();
+            let cold_plan =
+                generate_plan(&mut params.clone(), &cfg, path.src, path.dst, size, slo, p).unwrap();
+            assert_eq!(plan, cold_plan, "plan with SLO {slo:?}, {what}");
+        }
+    }
+
+    #[test]
+    fn invalidation_drops_only_the_affected_paths() {
+        let r = regions();
+        let (mut m, src_path) = test_model(&r);
+        let dst_path = with_destination_side(&mut m, src_path);
+        let warm_up = |m: &mut PerfModel| {
+            for path in [src_path, dst_path] {
+                m.t_rep_quantile(path, 1 << 30, 16, false, 0.99).unwrap();
+                m.t_rep_mean(path, 1 << 30, 16, false).unwrap();
+            }
+        };
+        let memo_sizes = |m: &PerfModel, path| {
+            m.memo
+                .get(&path)
+                .map_or((0, 0), |pm| (pm.quantile.len(), pm.mean.len()))
+        };
+        warm_up(&mut m);
+        m.rescale_path_chunks(src_path, 1.5);
+        assert_eq!(memo_sizes(&m, src_path), (0, 0));
+        assert_eq!(
+            memo_sizes(&m, dst_path),
+            (1, 1),
+            "the other path's memo must survive"
+        );
+        assert_eq!(
+            m.cached_max_dists(),
+            1,
+            "only the rescaled path's max-of-n is dropped"
+        );
+
+        // A location refit drops the paths that execute there, only.
+        warm_up(&mut m);
+        let loc = m.loc_params(src_path.dst).unwrap().clone();
+        m.set_loc(src_path.dst, loc);
+        assert_eq!(memo_sizes(&m, src_path), (1, 1));
+        assert_eq!(memo_sizes(&m, dst_path), (0, 0));
     }
 
     #[test]

@@ -54,6 +54,21 @@ impl SideCaps {
     }
 }
 
+/// What the fastest plan for one `(src, dst)` pair reads besides the
+/// model's parameters for its two paths; [`PerfModel`] memoizes that plan
+/// under this key and drops it whenever either path changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct FastestKey {
+    /// The object's chunk count at the model's chunk size.
+    chunks: u64,
+    /// The highest parallelism level the planner evaluates.
+    max_n: u32,
+    /// Whether the object fits the orchestrator-local threshold.
+    local_ok: bool,
+    /// The percentile, `p.to_bits()`.
+    p: u64,
+}
+
 /// Generates a plan for replicating `size` bytes from `src` to `dst` with a
 /// remaining budget of `slo_rep` (already net of the notification delay) at
 /// percentile `p`.
@@ -91,6 +106,17 @@ pub fn generate_plan_with_caps(
         .min(num_parts)
         .min(caps.src.max(caps.dst).max(1))
         .max(1);
+    // With no SLO and no quota every level is evaluated and the fastest
+    // plan wins: a pure function of the key and the model, so it is memoized.
+    let fastest_key = (slo_rep.is_none() && caps == SideCaps::UNLIMITED).then(|| FastestKey {
+        chunks: size.div_ceil(model.chunk_size).max(1),
+        max_n,
+        local_ok: size <= cfg.local_threshold,
+        p: p.to_bits(),
+    });
+    if let Some(plan) = fastest_key.and_then(|k| model.fastest_plan(src, dst, k)) {
+        return Ok(plan);
+    }
 
     let mut best: Option<Plan> = None;
     let mut n = 1u32;
@@ -130,11 +156,15 @@ pub fn generate_plan_with_caps(
         }
         n = (n * 2).min(max_n);
     }
-    best.ok_or(ModelError::UnknownPath(PathKey {
+    let best = best.ok_or(ModelError::UnknownPath(PathKey {
         src,
         dst,
         side: ExecSide::Source,
-    }))
+    }))?;
+    if let Some(key) = fastest_key {
+        model.remember_fastest_plan(src, dst, key, best);
+    }
+    Ok(best)
 }
 
 #[cfg(test)]

@@ -348,14 +348,19 @@ fn process_object_event<B: Backend>(sim: &mut B, st: St, rule_idx: usize, ev: Ob
             (true, Some(slo)) => {
                 let deadline = ev.event_time + slo;
                 let (src, dst, percentile) = (rule.src_region, rule.dst_region, rule.percentile);
-                let cfg = s.cfg.clone();
                 let margin = rule.safety_margin;
-                let t_rep = {
-                    let model = &mut s.model;
-                    planner::generate_plan(model, &cfg, src, dst, ev.size, None, percentile)
-                        .map(|p| p.predicted.mul_f64(margin))
-                        .unwrap_or(SimDuration::from_secs(3600))
-                };
+                let s = &mut *s;
+                let t_rep = planner::generate_plan(
+                    &mut s.model,
+                    &s.cfg,
+                    src,
+                    dst,
+                    ev.size,
+                    None,
+                    percentile,
+                )
+                .map(|p| p.predicted.mul_f64(margin))
+                .unwrap_or(SimDuration::from_secs(3600));
                 let now = sim.now();
                 Some(s.batchers[rule_idx].on_event(&ev.key, ev.etag, now, deadline, t_rep))
             }
@@ -776,10 +781,10 @@ fn plan_and_execute<B: Backend>(
             s.metrics.slo_previolated += 1;
             sim.tracer().counter_add("service.slo_previolated", 1);
         }
-        let cfg = s.cfg.clone();
+        let s = &mut *s;
         let plan = planner::generate_plan(
             &mut s.model,
-            &cfg,
+            &s.cfg,
             src_region,
             dst_region,
             size,
@@ -793,7 +798,7 @@ fn plan_and_execute<B: Backend>(
         // would register permanent "drift" and corrupt the model).
         let predicted_mean = s
             .model
-            .t_rep_dist(
+            .t_rep_mean(
                 PathKey {
                     src: src_region,
                     dst: dst_region,
@@ -803,7 +808,6 @@ fn plan_and_execute<B: Backend>(
                 plan.n,
                 plan.local,
             )
-            .map(|d| d.mean())
             .unwrap_or(plan.predicted.as_secs_f64());
         (task, plan, predicted_mean)
     };

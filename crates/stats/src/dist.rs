@@ -66,6 +66,18 @@ impl EmpiricalDist {
         Some(EmpiricalDist { sorted: samples })
     }
 
+    /// Builds an empirical distribution from samples already in ascending
+    /// order, skipping the sort.
+    ///
+    /// Returns `None` if `samples` is empty, contains non-finite values, or
+    /// is not sorted.
+    pub fn from_sorted(samples: Vec<f64>) -> Option<Self> {
+        if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) || !samples.is_sorted() {
+            return None;
+        }
+        Some(EmpiricalDist { sorted: samples })
+    }
+
     /// Number of stored samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -78,15 +90,10 @@ impl EmpiricalDist {
 
     /// Linear-interpolated quantile, `q` clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        if n == 1 {
+        if self.sorted.len() == 1 {
             return self.sorted[0];
         }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
+        let (lo, hi, frac) = quantile_ranks(self.sorted.len(), q);
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
@@ -116,6 +123,39 @@ impl EmpiricalDist {
     pub fn samples(&self) -> &[f64] {
         &self.sorted
     }
+}
+
+/// The two order-statistic ranks `(lo, hi)` that quantile `q` (clamped to
+/// `[0, 1]`) interpolates between over `n >= 2` samples, and the weight of
+/// `hi`.
+fn quantile_ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// [`EmpiricalDist::quantile`] over unsorted samples, without sorting them:
+/// selects rank `lo` in place and takes rank `hi` as the minimum of the
+/// partition above it, then interpolates with the same float operations.
+/// Reorders `samples`.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty. Samples must be finite.
+pub fn quantile_unsorted(samples: &mut [f64], q: f64) -> f64 {
+    assert!(!samples.is_empty(), "quantile of no samples");
+    if samples.len() == 1 {
+        return samples[0];
+    }
+    let (lo, hi, frac) = quantile_ranks(samples.len(), q);
+    let (_, x_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
+    let x_lo = *x_lo;
+    let x_hi = if hi == lo {
+        x_lo
+    } else {
+        above.iter().copied().fold(f64::INFINITY, f64::min)
+    };
+    x_lo * (1.0 - frac) + x_hi * frac
 }
 
 /// Euler–Mascheroni constant, used in Gumbel moments.
@@ -469,6 +509,34 @@ mod tests {
         assert_eq!(e.mean(), 2.0);
         assert_eq!(EmpiricalDist::new(vec![]), None);
         assert_eq!(EmpiricalDist::new(vec![f64::NAN]), None);
+    }
+
+    #[test]
+    fn from_sorted_skips_the_sort_but_validates() {
+        let e = EmpiricalDist::from_sorted(vec![1.0, 2.0, 2.0, 5.0]).unwrap();
+        assert_eq!(e, EmpiricalDist::new(vec![5.0, 2.0, 1.0, 2.0]).unwrap());
+        assert_eq!(EmpiricalDist::from_sorted(vec![2.0, 1.0]), None);
+        assert_eq!(EmpiricalDist::from_sorted(vec![]), None);
+        assert_eq!(EmpiricalDist::from_sorted(vec![1.0, f64::INFINITY]), None);
+    }
+
+    #[test]
+    fn quantile_unsorted_matches_sorted_quantile_bitwise() {
+        let mut r = rng();
+        for len in [1, 2, 3, 10, 257, 3000] {
+            let samples: Vec<f64> = (0..len)
+                .map(|i| sample_std_normal(&mut r) * 3.0 + (i % 7) as f64)
+                .collect();
+            let sorted = EmpiricalDist::new(samples.clone()).unwrap();
+            for q in [0.0, 1e-9, 0.25, 0.5, 0.9, 0.99, 0.9999, 1.0, 1.5, -0.5] {
+                let mut buf = samples.clone();
+                assert_eq!(
+                    quantile_unsorted(&mut buf, q).to_bits(),
+                    sorted.quantile(q).to_bits(),
+                    "len {len} q {q}"
+                );
+            }
+        }
     }
 
     #[test]

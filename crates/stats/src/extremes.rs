@@ -42,7 +42,7 @@ pub fn monte_carlo_max<R: Rng + ?Sized>(
     EmpiricalDist::new(maxima).expect("maxima of finite samples are finite")
 }
 
-/// Per-trial maxima of `n` standard normal draws, in trial order.
+/// Per-trial maxima of `n` standard normal draws, sorted ascending.
 ///
 /// Consumes exactly the RNG stream that [`monte_carlo_max`] would over a
 /// [`Dist::Normal`] or [`Dist::LogNormal`] parent — both draw one standard
@@ -63,17 +63,20 @@ pub fn std_normal_maxima<R: Rng + ?Sized>(n: usize, trials: usize, rng: &mut R) 
         }
         maxima.push(m);
     }
+    maxima.sort_by(f64::total_cmp);
     maxima
 }
 
 /// Rebuilds `monte_carlo_max(parent, n, trials, rng)` bit-identically from
-/// cached standardized maxima, for parents that are monotone non-decreasing
-/// transforms of a single standard normal draw (Normal and LogNormal).
+/// the sorted standardized maxima of [`std_normal_maxima`], for parents that
+/// are monotone non-decreasing transforms of a single standard normal draw
+/// (Normal and LogNormal).
 ///
 /// Both `z -> mu + sigma * z` and `z -> (mu + sigma * z).exp()` are monotone
 /// in `z` operation by operation (`sigma >= 0`; IEEE rounding preserves
 /// monotonicity per operation), so the max of the transformed draws equals
-/// the transform of the max draw: `max_i fl(T(z_i)) == fl(T(max_i z_i))`.
+/// the transform of the max draw: `max_i fl(T(z_i)) == fl(T(max_i z_i))`,
+/// and transformed sorted maxima come out sorted, so no sort is needed.
 /// The expressions below mirror [`Dist::sample`] exactly to keep the
 /// float-for-float guarantee. Returns `None` for parents outside that
 /// family, in which case callers must fall back to the full Monte Carlo.
@@ -85,7 +88,7 @@ pub fn monte_carlo_max_from_std(parent: &Dist, std_maxima: &[f64]) -> Option<Emp
         }
         _ => return None,
     };
-    Some(EmpiricalDist::new(maxima).expect("maxima of finite samples are finite"))
+    Some(EmpiricalDist::from_sorted(maxima).expect("a monotone map of sorted finite maxima"))
 }
 
 /// Classical normalizing constants `(a_n, b_n)` for the maximum of `n`
